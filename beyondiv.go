@@ -151,14 +151,14 @@ type Options struct {
 	// artifacts (reports, structured report data, provenance chains)
 	// layered under the in-memory cache. Entries are keyed by a
 	// canonical structural hash of the parsed program — whitespace and
-	// comment edits, and α-renamed duplicates, hit the same entry — and
-	// survive process restarts: a warm store answers without running a
-	// single analysis pass beyond parsing. Programs served from disk
-	// carry rendered artifacts only (Program.Decoded reports this); the
-	// SSA graph, interpreter and Optimize need a live analysis. The
-	// directory is created if needed; an unusable directory surfaces as
-	// an error from every entry point rather than silently analyzing
-	// uncached.
+	// comment edits hit the same entry; α-renamed copies, whose reports
+	// name other variables, do not — and survive process restarts: a
+	// warm store answers without running a single analysis pass beyond
+	// parsing. Programs served from disk carry rendered artifacts only
+	// (Program.Decoded reports this); the SSA graph, interpreter and
+	// Optimize need a live analysis. The directory is created if
+	// needed; an unusable directory surfaces as an error from every
+	// entry point rather than silently analyzing uncached.
 	CacheDir string
 	// CacheMaxBytes bounds the disk store's total size (<= 0 means
 	// store.DefaultMaxBytes, 256 MiB); least-recently-used entries are
@@ -278,20 +278,9 @@ func NewAnalyzer(opts Options) *Analyzer {
 		if err != nil {
 			storeErr = fmt.Errorf("beyondiv: cache dir: %w", err)
 		} else {
-			// The differential rename check re-analyzes an α-renamed twin
-			// of every program whose artifact is persisted. The twin runs
-			// on a bare engine: same passes and ceilings, but no caches,
-			// no store (no recursion), no telemetry, and no fault
-			// injection — an injected fault belongs to the original run,
-			// not to its shadow.
-			lim := opts.Limits
-			lim.Inject = nil
-			bare := engine.New(engine.Config{Passes: opts.passes(), Limits: lim})
 			cfg.Store = disk
 			cfg.StoreWriteOnly = opts.CacheDirWriteOnly
-			cfg.BuildArtifact = func(st *engine.State) ([]byte, error) {
-				return buildArtifact(st, bare)
-			}
+			cfg.BuildArtifact = buildArtifact
 		}
 	}
 	return &Analyzer{eng: engine.New(cfg), passErr: passErr, storeErr: storeErr}
@@ -624,7 +613,8 @@ func (p *Program) Run(params map[string]int64) (*interp.Result, error) {
 
 // RunSteps is Run with an explicit execution-step ceiling, for driving
 // untrusted programs: execution stops with an error once maxSteps
-// instructions have run (0 means the interpreter's default budget).
+// steps have run, one per instruction and one per block entered (0
+// means the interpreter's default budget).
 func (p *Program) RunSteps(params map[string]int64, maxSteps int) (*interp.Result, error) {
 	if p.SSA == nil {
 		return nil, errDecodedRun

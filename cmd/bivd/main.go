@@ -31,7 +31,7 @@
 // only on big machines serving few, large requests. -cache-dir adds a
 // persistent artifact store
 // under the in-memory cache: a restarted daemon answers repeat (or
-// reformatted, or α-renamed) sources from disk without re-analysis,
+// reformatted or re-commented) sources from disk without re-analysis,
 // and the engine.store.* counters on /metrics show the tier working.
 // Analyzer panics are contained per-request into
 // structured 500s with phase attribution, and the faulting source's

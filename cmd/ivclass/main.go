@@ -22,7 +22,7 @@
 // named variable.
 //
 // -cache-dir persists analysis artifacts in a content-addressed store:
-// re-running over an unchanged (or merely reformatted, or α-renamed)
+// re-running over an unchanged (or merely reformatted or re-commented)
 // corpus answers from disk without re-analyzing, even across
 // processes. -watch keeps the command running, polling the inputs and
 // re-analyzing only programs whose content changed — with -cache-dir,

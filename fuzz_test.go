@@ -32,6 +32,9 @@ var fuzzSeeds = []string{
 	"x = 1 +",  // parse error
 	"} {",      // parse error
 	"\x00\xff", // scanner garbage
+	"loop {}",  // empty bodies: execution must still meter steps
+	"while 0 < 1 { }",
+	"L: loop { }",
 }
 
 // adversarialSeeds are inputs crafted against the hardened front end:

@@ -1,9 +1,11 @@
 package beyondiv
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"beyondiv/internal/guard"
 	"beyondiv/internal/obs"
@@ -227,4 +229,31 @@ func TestErrorPosition(t *testing.T) {
 	if e.Pos.IsZero() {
 		t.Errorf("input diagnostic lost its position: %v", err)
 	}
+}
+
+// TestOptimizeEmptyLoopReturns: translation validation runs the SSA
+// interpreter on the original program, so an empty infinite loop after
+// a loop a pass rewrites must exhaust the step budget and return —
+// both with and without a caller deadline.
+func TestOptimizeEmptyLoopReturns(t *testing.T) {
+	const src = "c1: for i = 1 to 9 by 2 { c2 = 2 + 1 }\nloop {}"
+	run := func(name string, f func() error) {
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s did not return", name)
+		}
+	}
+	run("Optimize", func() error {
+		_, err := Optimize(src)
+		return err
+	})
+	run("OptimizeContext", func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_, err := NewAnalyzer(Options{}).OptimizeContext(ctx, src)
+		return err
+	})
 }

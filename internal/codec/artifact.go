@@ -16,13 +16,6 @@ type Artifact struct {
 	ExplainDeps    string // ExplainAllDeps text
 	ReportJSON     string // json.Marshal of the []iv.LoopReport slice
 	Explains       []ExplainEntry
-
-	// Renameable records that the differential rename check passed at
-	// encode time: every occurrence of a source identifier in every text
-	// was isolated into a name reference, so the entry may be served to
-	// α-renamed duplicates by table substitution. Entries that fail the
-	// check still serve sources with a byte-identical name table.
-	Renameable bool
 }
 
 // ExplainEntry is one provenance lookup: Name is any key ExplainVar
@@ -33,10 +26,9 @@ type ExplainEntry struct {
 	Text string
 }
 
-// SortExplains orders entries for the binary-searched Explain lookup.
-// Encode requires sorted entries; Decode re-sorts after a table remap
-// (remapped keys need not preserve the stored order).
-func SortExplains(es []ExplainEntry) {
+// sortExplains orders entries for the binary-searched Explain lookup;
+// Decode applies it, so Encode accepts entries in any order.
+func sortExplains(es []ExplainEntry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].Name < es[j].Name })
 }
 

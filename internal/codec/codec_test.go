@@ -2,8 +2,9 @@ package codec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 
 	"beyondiv/internal/parse"
@@ -18,15 +19,14 @@ L1: for i = 1 to n {
 `
 
 // Same program, reformatted and commented: the structural hash must not
-// move and the name table must come out identical.
+// move.
 const progNoisy = `s=0
 // running sum
 L1: for i = 1 to n { a[i] = a[i] + s; s = s + 2*i }  // body
 `
 
-// Same shape, every variable renamed in first-occurrence order
-// (s->t, i->j, n->m, a->b). The label stays: labels are part of the
-// structure, not the name table.
+// Same shape, every variable renamed (s->t, i->j, n->m, a->b). Its
+// reports name t, j, m and b, so it must not share an entry with prog.
 const progRenamed = `
 t = 0
 L1: for j = 1 to m {
@@ -36,30 +36,14 @@ L1: for j = 1 to m {
 `
 
 func TestStructuralHashIgnoresFormatting(t *testing.T) {
-	h1, n1 := StructuralHash(parse.MustParse(prog))
-	h2, n2 := StructuralHash(parse.MustParse(progNoisy))
-	if h1 != h2 {
+	if StructuralHash(parse.MustParse(prog)) != StructuralHash(parse.MustParse(progNoisy)) {
 		t.Fatalf("formatting changed the structural hash")
-	}
-	if !sameTable(n1, n2) {
-		t.Fatalf("name tables differ: %v vs %v", n1, n2)
-	}
-	if len(n1) == 0 {
-		t.Fatalf("empty name table for %q", prog)
 	}
 }
 
 func TestStructuralHashAlphaRename(t *testing.T) {
-	h1, n1 := StructuralHash(parse.MustParse(prog))
-	h2, n2 := StructuralHash(parse.MustParse(progRenamed))
-	if h1 != h2 {
-		t.Fatalf("alpha-renaming changed the structural hash")
-	}
-	if sameTable(n1, n2) {
-		t.Fatalf("renamed program produced the same name table %v", n1)
-	}
-	if len(n1) != len(n2) {
-		t.Fatalf("table lengths differ: %v vs %v", n1, n2)
+	if StructuralHash(parse.MustParse(prog)) == StructuralHash(parse.MustParse(progRenamed)) {
+		t.Fatalf("alpha-renamed programs share a structural hash")
 	}
 }
 
@@ -73,102 +57,28 @@ func TestStructuralHashDistinguishes(t *testing.T) {
 		"s = 0\nL1: for i = 1 to n {\n a[s] = a[i] + s\n s = s + 2 * i\n}\n",      // different name use
 		"s = 0\nL7: for i = 1 to n {\n a[i] = a[i] + s\n s = s + 2 * i\n}\n",      // relabeled loop
 	}
-	h0, _ := StructuralHash(base)
+	h0 := StructuralHash(base)
 	for _, v := range variants {
-		h, _ := StructuralHash(parse.MustParse(v))
-		if h == h0 {
+		if StructuralHash(parse.MustParse(v)) == h0 {
 			t.Errorf("variant hashed identically to base:\n%s", v)
 		}
 	}
 }
 
-func TestRenameTable(t *testing.T) {
-	names := []string{"s", "L1", "i", "n", "a"}
-	twin := RenameTable(names)
-	if len(twin) != len(names) {
-		t.Fatalf("twin table length %d, want %d", len(twin), len(names))
-	}
-	seen := map[string]bool{}
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if (names[i] < names[j]) != (twin[i] < twin[j]) {
-				t.Errorf("sort order not preserved: %q/%q vs %q/%q",
-					names[i], names[j], twin[i], twin[j])
-			}
-		}
-		if seen[twin[i]] {
-			t.Errorf("duplicate twin name %q", twin[i])
-		}
-		seen[twin[i]] = true
-		if len(twin[i]) != len(twin[0]) {
-			t.Errorf("twin names not fixed-width: %v", twin)
-		}
-	}
-	// A table already using the default prefix forces a longer one.
-	twin2 := RenameTable([]string{"zqaaa", "x"})
-	for _, n := range twin2 {
-		if !strings.HasPrefix(n, "zqq") {
-			t.Errorf("prefix did not grow past clash: %v", twin2)
-		}
-	}
-}
-
-func TestRewriteSource(t *testing.T) {
-	f := parse.MustParse(prog)
-	_, names := StructuralHash(f)
-	twin := RenameTable(names)
-	src := RewriteSource(f.String(), names, twin)
-	for _, n := range names {
-		// No original name survives as a whole token.
-		found := false
-		forEachChunk(src, func(tok string, isIdent bool) {
-			if isIdent && tok == n {
-				found = true
-			}
-		})
-		if found {
-			t.Errorf("name %q survived rewriting:\n%s", n, src)
-		}
-	}
-	if _, err := parse.File(src); err != nil {
-		t.Fatalf("rewritten source does not parse: %v\n%s", err, src)
-	}
-	h1, _ := StructuralHash(f)
-	h2, _ := StructuralHash(parse.MustParse(src))
-	if h1 != h2 {
-		t.Fatalf("rewriting changed the structural hash")
-	}
-}
-
-// fixture builds a hand-rolled renameable artifact pair the way the
-// facade would: names {i, n}, twin {zqaaa, zqaab}, texts mentioning i
-// and its SSA instance i1.
-func fixture() (a *Artifact, names []string, tw *Artifact, twin []string) {
-	names = []string{"i", "n"}
-	twin = RenameTable(names)
-	a = &Artifact{
+// fixture is an artifact with every field set and explain entries
+// out of order, the way artifactOf derives them.
+func fixture() *Artifact {
+	return &Artifact{
 		Classification: "loop L (depth 1) trip=n\n  i1 = (1, +1, n)\n",
 		HasDeps:        true,
 		Dependences:    "no dependences involving i\n",
 		ExplainDeps:    "i1 strides by 1 up to n\n",
 		ReportJSON:     `[{"values":[{"name":"i1"}]}]`,
 		Explains: []ExplainEntry{
-			{Name: "i", Text: "i1: basic IV\n"},
 			{Name: "i1", Text: "i1: basic IV\n"},
+			{Name: "i", Text: "i1: basic IV\n"},
 		},
 	}
-	tw = &Artifact{
-		Classification: "loop L (depth 1) trip=zqaab\n  zqaaa1 = (1, +1, zqaab)\n",
-		HasDeps:        true,
-		Dependences:    "no dependences involving zqaaa\n",
-		ExplainDeps:    "zqaaa1 strides by 1 up to zqaab\n",
-		ReportJSON:     `[{"values":[{"name":"zqaaa1"}]}]`,
-		Explains: []ExplainEntry{
-			{Name: "zqaaa", Text: "zqaaa1: basic IV\n"},
-			{Name: "zqaaa1", Text: "zqaaa1: basic IV\n"},
-		},
-	}
-	return a, names, tw, twin
 }
 
 func artifactsEqual(a, b *Artifact) bool {
@@ -186,90 +96,52 @@ func artifactsEqual(a, b *Artifact) bool {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	a, names, tw, twin := fixture()
-	data := Encode(a, names, tw, twin)
-	got, err := Decode(data, names)
+	a := fixture()
+	got, err := Decode(Encode(a))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !got.Renameable {
-		t.Fatalf("differential check should have passed for the fixture")
-	}
+	sortExplains(a.Explains)
 	if !artifactsEqual(a, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, a)
 	}
-}
-
-func TestDecodeRemap(t *testing.T) {
-	a, names, tw, twin := fixture()
-	data := Encode(a, names, tw, twin)
-	// Order-preserving remap {i,n} -> {j,p}.
-	got, err := Decode(data, []string{"j", "p"})
-	if err != nil {
-		t.Fatalf("Decode remap: %v", err)
+	if txt, ok := got.Explain("i1"); !ok || txt != "i1: basic IV\n" {
+		t.Fatalf("explain lookup: %q, %v", txt, ok)
 	}
-	if want := "loop L (depth 1) trip=p\n  j1 = (1, +1, p)\n"; got.Classification != want {
-		t.Fatalf("remapped classification:\n got %q\nwant %q", got.Classification, want)
-	}
-	if txt, ok := got.Explain("j1"); !ok || txt != "j1: basic IV\n" {
-		t.Fatalf("remapped explain lookup: %q, %v", txt, ok)
-	}
-	if _, ok := got.Explain("i1"); ok {
-		t.Fatalf("old name still resolves after remap")
-	}
-
-	// Order-violating table: {i,n} -> {z,p} flips the relative order.
-	if _, err := Decode(data, []string{"z", "p"}); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("order-violating remap: got %v, want ErrIncompatible", err)
-	}
-	// Digit-ending name: base-key derivation would shift.
-	if _, err := Decode(data, []string{"j", "p1"}); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("digit-ending remap: got %v, want ErrIncompatible", err)
-	}
-	// Wrong arity.
-	if _, err := Decode(data, []string{"j"}); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("short table: got %v, want ErrIncompatible", err)
+	if _, ok := got.Explain("j"); ok {
+		t.Fatalf("unknown name resolved")
 	}
 }
 
-func TestDecodeNonRenameable(t *testing.T) {
-	a, names, _, _ := fixture()
-	data := Encode(a, names, nil, nil) // no twin: literal-only
-	got, err := Decode(data, names)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+// version1Blob is a well-formed blob in the previous schema, which
+// stored a name table and split each text into literal runs and name
+// references: magic, version 1, flags, a one-name table ["i"], four
+// texts and one explain entry, each a single literal run, then the
+// checksum. A store written by an
+// older release holds blobs like it; they must read as corrupt so the
+// entry is deleted and re-analyzed.
+func version1Blob() []byte {
+	b := []byte("BIVC")
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, flagHasDeps)
+	lit := func(s string) {
+		b = append(b, 1, 0) // one run, literal
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
 	}
-	if got.Renameable {
-		t.Fatalf("twinless encode must not be renameable")
+	b = append(b, 1, 1, 'i') // name table ["i"]
+	for _, s := range []string{"report\n", "", "", "[]"} {
+		lit(s)
 	}
-	if !artifactsEqual(a, got) {
-		t.Fatalf("literal round trip mismatch")
-	}
-	if _, err := Decode(data, []string{"j", "p"}); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("remap of non-renameable entry: got %v, want ErrIncompatible", err)
-	}
-}
-
-func TestEncodeDivergentTwinFallsBack(t *testing.T) {
-	a, names, tw, twin := fixture()
-	// Sabotage the twin: prose differs in a way that is not a rename.
-	tw.Dependences = "completely different text\n"
-	data := Encode(a, names, tw, twin)
-	got, err := Decode(data, names)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Renameable {
-		t.Fatalf("divergent twin must disable renaming")
-	}
-	if !artifactsEqual(a, got) {
-		t.Fatalf("fallback must still store the original texts exactly")
-	}
+	b = append(b, 1) // one explain entry
+	lit("i")
+	lit("i1: basic IV\n")
+	sum := sha256.Sum256(b)
+	return append(b, sum[:checksumLen]...)
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	a, names, tw, twin := fixture()
-	data := Encode(a, names, tw, twin)
+	data := Encode(fixture())
 
 	for _, tc := range []struct {
 		name string
@@ -284,9 +156,10 @@ func TestDecodeCorrupt(t *testing.T) {
 			b[4] ^= 0xff // version field; checksum now also mismatches
 			return b
 		}},
+		{"version1", func([]byte) []byte { return version1Blob() }},
 	} {
 		b := tc.mut(bytes.Clone(data))
-		if _, err := Decode(b, names); !errors.Is(err, ErrCorrupt) {
+		if _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -297,20 +170,19 @@ func TestAliasRoundTrip(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i * 7)
 	}
-	names := []string{"i", "n", "a"}
-	data := EncodeAlias(key, names)
-	gotKey, gotNames, err := DecodeAlias(data)
+	data := EncodeAlias(key)
+	gotKey, err := DecodeAlias(data)
 	if err != nil {
 		t.Fatalf("DecodeAlias: %v", err)
 	}
-	if gotKey != key || !sameTable(gotNames, names) {
-		t.Fatalf("alias round trip mismatch: %x %v", gotKey, gotNames)
+	if gotKey != key {
+		t.Fatalf("alias round trip mismatch: %x", gotKey)
 	}
 	data[10] ^= 0x01
-	if _, _, err := DecodeAlias(data); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeAlias(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted alias: got %v, want ErrCorrupt", err)
 	}
-	if _, _, err := DecodeAlias(data[:8]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeAlias(data[:8]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated alias: got %v, want ErrCorrupt", err)
 	}
 }
@@ -319,9 +191,9 @@ func TestAliasRoundTrip(t *testing.T) {
 // round-trip exactly through Encode/Decode, and arbitrary bytes must
 // decode to an error, never a panic or a fabricated artifact.
 func FuzzArtifactCodec(f *testing.F) {
-	a, names, tw, twin := fixture()
+	a := fixture()
 	f.Add(a.Classification, a.Dependences, a.ExplainDeps, a.ReportJSON,
-		"i", "i1: basic IV\n", true, Encode(a, names, tw, twin))
+		"i", "i1: basic IV\n", true, Encode(a))
 	f.Add("", "", "", "", "", "", false, []byte("BIVC junk"))
 	f.Fuzz(func(t *testing.T, cls, deps, expl, repJSON, exName, exText string, hasDeps bool, raw []byte) {
 		art := &Artifact{
@@ -332,8 +204,7 @@ func FuzzArtifactCodec(f *testing.F) {
 			ReportJSON:     repJSON,
 			Explains:       []ExplainEntry{{Name: exName, Text: exText}},
 		}
-		data := Encode(art, names, nil, nil)
-		got, err := Decode(data, names)
+		got, err := Decode(Encode(art))
 		if err != nil {
 			t.Fatalf("decode of fresh encode failed: %v", err)
 		}
@@ -342,10 +213,10 @@ func FuzzArtifactCodec(f *testing.F) {
 		}
 		// Arbitrary bytes: must error or produce a valid artifact,
 		// never panic.
-		if a2, err := Decode(raw, names); err == nil && a2 == nil {
+		if a2, err := Decode(raw); err == nil && a2 == nil {
 			t.Fatalf("nil artifact with nil error")
 		}
-		if _, _, err := DecodeAlias(raw); err == nil && len(raw) == 0 {
+		if _, err := DecodeAlias(raw); err == nil && len(raw) == 0 {
 			t.Fatalf("empty alias decoded")
 		}
 	})

@@ -5,22 +5,19 @@
 // together with the canonical structural hash that content-addresses
 // them on disk.
 //
-// Two properties carry the whole design:
-//
-//   - StructuralHash hashes the parsed AST with interned identifiers,
-//     so whitespace and comment edits — and α-renamings that intern to
-//     the same shape — produce the same key.
-//   - Every stored text is segmented into name references and literal
-//     prose, so an entry written for one source can be served,
-//     byte-identically, for an α-renamed duplicate by substituting its
-//     name table. Segmentation is derived by a differential rename
-//     check (see Encode), never by guessing which tokens are names; an
-//     entry that fails the check is simply marked non-renameable and
-//     serves only sources with an identical name table.
+// StructuralHash hashes the parsed AST, not the source text, so
+// whitespace and comment edits produce the same key and share one
+// entry. Identifiers are hashed literally: an α-renamed copy of a
+// program is a different program to the store. Every stored text names
+// the program's variables (SSA names, IV tuples, dependence equations),
+// so a renamed copy renders differently and could only be served from
+// another program's entry by rewriting those texts; that rewriting cost
+// a second analysis on every persisted miss and paid back rarely.
 //
 // Decoding validates a schema version and a checksum: any mismatch —
-// truncation, corruption, a codec from another release — surfaces as an
-// error the engine answers with re-analysis, never a wrong result.
+// truncation, corruption, a codec from another release — surfaces as
+// ErrCorrupt, which the engine answers with re-analysis, never a wrong
+// result.
 package codec
 
 import (
@@ -32,36 +29,26 @@ import (
 )
 
 // structHasher accumulates the canonical structure stream: node tags,
-// operators and literal values verbatim, identifiers as intern indices.
+// operators, literal values and names, each in a self-delimiting form.
 type structHasher struct {
-	h     hash.Hash
-	idx   map[string]int
-	names []string
-	buf   [binary.MaxVarintLen64]byte
+	h   hash.Hash
+	buf [binary.MaxVarintLen64]byte
 }
 
 // StructuralHash content-addresses the program's shape: a SHA-256 over
-// the AST with every identifier (scalar or array) replaced by its
-// first-occurrence intern index, plus the ordered name table those
-// indices refer to. Formatting never reaches the hash, and two
-// α-renamed programs hash identically — their difference is exactly
-// the returned table.
-//
-// Loop labels are deliberately hashed literally and kept out of the
-// table: a label is the loop's name in every rendered report (the
-// paper's "(L1, base, step)" tuples), so programs differing only in
-// labels render differently and must not share an entry — and label
-// remaps would end in digits, which the suffix-segmented text encoding
-// cannot express (see remapOK).
-func StructuralHash(f *ast.File) ([32]byte, []string) {
-	s := &structHasher{h: sha256.New(), idx: map[string]int{}}
+// the AST's node tags, operators, literals, identifiers and loop labels.
+// Formatting and comments never reach the hash. Names are hashed
+// literally and length-prefixed, so programs that differ only in a
+// variable or label name hash differently — as their reports do.
+func StructuralHash(f *ast.File) [32]byte {
+	s := &structHasher{h: sha256.New()}
 	s.varint(int64(len(f.Stmts)))
 	for _, st := range f.Stmts {
 		s.stmt(st)
 	}
 	var sum [32]byte
 	s.h.Sum(sum[:0])
-	return sum, s.names
+	return sum
 }
 
 // Structure-stream tags. These are part of the on-disk key derivation:
@@ -94,15 +81,11 @@ func (s *structHasher) varint(v int64) {
 	s.h.Write(s.buf[:n])
 }
 
-// name interns an identifier and hashes its index.
-func (s *structHasher) name(n string) {
-	i, ok := s.idx[n]
-	if !ok {
-		i = len(s.names)
-		s.idx[n] = i
-		s.names = append(s.names, n)
-	}
-	s.varint(int64(i))
+// str hashes a name length-prefixed, so adjacent names cannot run
+// together.
+func (s *structHasher) str(n string) {
+	s.varint(int64(len(n)))
+	s.h.Write([]byte(n))
 }
 
 func (s *structHasher) label(l string) {
@@ -111,8 +94,7 @@ func (s *structHasher) label(l string) {
 		return
 	}
 	s.tag(tagLabel)
-	s.varint(int64(len(l)))
-	s.h.Write([]byte(l))
+	s.str(l)
 }
 
 func (s *structHasher) stmt(st ast.Stmt) {
@@ -124,7 +106,7 @@ func (s *structHasher) stmt(st ast.Stmt) {
 	case *ast.For:
 		s.tag(tagFor)
 		s.label(v.Label)
-		s.name(v.Var.Name)
+		s.str(v.Var.Name)
 		s.expr(v.Lo)
 		s.expr(v.Hi)
 		if v.Step == nil {
@@ -171,7 +153,7 @@ func (s *structHasher) expr(e ast.Expr) {
 	switch v := e.(type) {
 	case *ast.Ident:
 		s.tag(tagIdent)
-		s.name(v.Name)
+		s.str(v.Name)
 	case *ast.Num:
 		s.tag(tagNum)
 		s.varint(v.Value)
@@ -186,7 +168,7 @@ func (s *structHasher) expr(e ast.Expr) {
 		s.expr(v.X)
 	case *ast.Index:
 		s.tag(tagIndex)
-		s.name(v.Name)
+		s.str(v.Name)
 		s.expr(v.Sub)
 	}
 }

@@ -12,40 +12,24 @@ import (
 // then the first 8 bytes of a SHA-256 over everything before as a
 // self-check. Any envelope violation — wrong magic, unknown version,
 // checksum mismatch, truncation, trailing bytes — decodes to ErrCorrupt
-// and the caller deletes the entry and re-analyzes; a valid entry whose
-// name table cannot be substituted for the requester's decodes to
-// ErrIncompatible and the caller keeps the entry but treats the lookup
-// as a miss. Neither path can surface a wrong answer.
+// and the caller deletes the entry and re-analyzes; it can never surface
+// a wrong answer.
 const (
 	// Version is the artifact schema version. Bump it whenever the body
-	// layout, the segment model, or the meaning of any stored text
+	// layout, the structural hash, or the meaning of any stored text
 	// changes; old entries then read as corrupt and are re-analyzed.
-	Version = 1
+	Version = 2
 
 	magicArtifact = "BIVC"
 	magicAlias    = "BIVA"
 	checksumLen   = 8
 
-	flagHasDeps    = 1 << 0
-	flagRenameable = 1 << 1
+	flagHasDeps = 1 << 0
 )
 
 // ErrCorrupt reports an undecodable blob: truncated, bit-rotted, or
 // written by a different schema version. The store entry is garbage.
 var ErrCorrupt = errors.New("codec: corrupt or incompatible-version blob")
-
-// ErrIncompatible reports a valid artifact that cannot serve the
-// requester's name table (not renameable, or the table violates a remap
-// invariant). The entry is fine for other requesters; treat as a miss.
-var ErrIncompatible = errors.New("codec: artifact incompatible with requested name table")
-
-// segment is one piece of a stored text: either literal prose (ref < 0)
-// or a reference to name-table slot ref followed by a literal digit
-// suffix (SSA version numbers ride along with the name they decorate).
-type segment struct {
-	ref int
-	lit string
-}
 
 // ---- encoding ----
 
@@ -56,109 +40,15 @@ func (e *enc) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *enc) uvarint(v int) { e.b = binary.AppendUvarint(e.b, uint64(v)) }
 func (e *enc) str(s string)  { e.uvarint(len(s)); e.b = append(e.b, s...) }
 func (e *enc) raw(p []byte)  { e.b = append(e.b, p...) }
-func (e *enc) names(ns []string) {
-	e.uvarint(len(ns))
-	for _, n := range ns {
-		e.str(n)
-	}
-}
-
-func (e *enc) segs(ss []segment) {
-	e.uvarint(len(ss))
-	for _, s := range ss {
-		if s.ref < 0 {
-			e.u8(0)
-			e.str(s.lit)
-		} else {
-			e.u8(1)
-			e.uvarint(s.ref)
-			e.str(s.lit)
-		}
-	}
-}
 
 func (e *enc) seal() []byte {
 	sum := sha256.Sum256(e.b)
 	return append(e.b, sum[:checksumLen]...)
 }
 
-// Encode serializes an artifact under its source name table. When twin
-// is non-nil it must be the artifact of the α-renamed twin produced by
-// RenameTable/RewriteSource; Encode aligns every text of a against the
-// twin's to isolate name occurrences into references (the differential
-// rename check). If every text aligns, the entry is marked renameable;
-// any divergence — reordered output, a name fused into prose, a twin
-// that failed to analyze (twin == nil) — falls back to literal-only
-// storage, still exact for sources with an identical table.
-func Encode(a *Artifact, names []string, twin *Artifact, twinNames []string) []byte {
-	type text struct{ a, b string }
-	texts := []text{
-		{a.Classification, ""},
-		{a.Dependences, ""},
-		{a.ExplainDeps, ""},
-		{a.ReportJSON, ""},
-	}
-	segTexts := make([][]segment, len(texts))
-	renameable := twin != nil && len(twinNames) == len(names)
-	if renameable {
-		texts[0].b = twin.Classification
-		texts[1].b = twin.Dependences
-		texts[2].b = twin.ExplainDeps
-		texts[3].b = twin.ReportJSON
-		if a.HasDeps != twin.HasDeps || len(a.Explains) != len(twin.Explains) {
-			renameable = false
-		}
-	}
-	al := newAligner(names, twinNames)
-	for i, t := range texts {
-		if renameable {
-			if ss, ok := al.align(t.a, t.b); ok {
-				segTexts[i] = ss
-				continue
-			}
-			renameable = false
-		}
-		segTexts[i] = []segment{{ref: -1, lit: t.a}}
-	}
-	// Explain entries align pairwise: buildArtifact derives both sides'
-	// keys from the same AST positions in the same order, so entry k of
-	// the twin is the renamed counterpart of entry k here — but only
-	// before sorting, so Encode is handed them in derivation order and
-	// sorts the stored form itself.
-	segExpl := make([][2][]segment, len(a.Explains))
-	for i, ex := range a.Explains {
-		var nameSegs, textSegs []segment
-		if renameable {
-			tw := twin.Explains[i]
-			ns, ok1 := al.align(ex.Name, tw.Name)
-			ts, ok2 := al.align(ex.Text, tw.Text)
-			if ok1 && ok2 {
-				nameSegs, textSegs = ns, ts
-			} else {
-				renameable = false
-			}
-		}
-		if nameSegs == nil {
-			nameSegs = []segment{{ref: -1, lit: ex.Name}}
-			textSegs = []segment{{ref: -1, lit: ex.Text}}
-		}
-		segExpl[i] = [2][]segment{nameSegs, textSegs}
-	}
-	if !renameable {
-		// A failed check late in the walk leaves earlier texts with ref
-		// segments; demote everything to literals so the blob's flag and
-		// its segments agree.
-		for i, t := range texts {
-			segTexts[i] = []segment{{ref: -1, lit: t.a}}
-		}
-		for i, ex := range a.Explains {
-			segExpl[i] = [2][]segment{
-				{{ref: -1, lit: ex.Name}},
-				{{ref: -1, lit: ex.Text}},
-			}
-		}
-	}
-
+// Encode serializes an artifact: its flags, its four report texts,
+// then its explain entries in the order given.
+func Encode(a *Artifact) []byte {
 	e := &enc{}
 	e.raw([]byte(magicArtifact))
 	e.u16(Version)
@@ -166,32 +56,26 @@ func Encode(a *Artifact, names []string, twin *Artifact, twinNames []string) []b
 	if a.HasDeps {
 		flags |= flagHasDeps
 	}
-	if renameable {
-		flags |= flagRenameable
-	}
 	e.u8(flags)
-	e.names(names)
-	for _, ss := range segTexts {
-		e.segs(ss)
-	}
-	e.uvarint(len(segExpl))
-	for _, pair := range segExpl {
-		e.segs(pair[0])
-		e.segs(pair[1])
+	e.str(a.Classification)
+	e.str(a.Dependences)
+	e.str(a.ExplainDeps)
+	e.str(a.ReportJSON)
+	e.uvarint(len(a.Explains))
+	for _, ex := range a.Explains {
+		e.str(ex.Name)
+		e.str(ex.Text)
 	}
 	return e.seal()
 }
 
 // EncodeAlias serializes an alias record: "this exact source, under this
-// options fingerprint, resolves to structural entry structKey via this
-// name table". The table rides in the alias — not the entry — because
-// the entry may have been written for an α-renamed sibling.
-func EncodeAlias(structKey [32]byte, names []string) []byte {
+// options fingerprint, resolves to structural entry structKey".
+func EncodeAlias(structKey [32]byte) []byte {
 	e := &enc{}
 	e.raw([]byte(magicAlias))
 	e.u16(Version)
 	e.raw(structKey[:])
-	e.names(names)
 	return e.seal()
 }
 
@@ -249,43 +133,6 @@ func (d *dec) str() string {
 	return s
 }
 
-func (d *dec) names() []string {
-	n := d.uvarint()
-	if d.bad {
-		return nil
-	}
-	ns := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ns = append(ns, d.str())
-	}
-	return ns
-}
-
-func (d *dec) segs(nNames int) []segment {
-	n := d.uvarint()
-	if d.bad {
-		return nil
-	}
-	ss := make([]segment, 0, n)
-	for i := 0; i < n; i++ {
-		switch d.u8() {
-		case 0:
-			ss = append(ss, segment{ref: -1, lit: d.str()})
-		case 1:
-			ref := d.uvarint()
-			if ref >= nNames {
-				d.fail()
-				return nil
-			}
-			ss = append(ss, segment{ref: ref, lit: d.str()})
-		default:
-			d.fail()
-			return nil
-		}
-	}
-	return ss
-}
-
 // open validates the envelope (magic, version, checksum) and returns a
 // decoder positioned at the body.
 func open(data []byte, magic string) (*dec, error) {
@@ -307,33 +154,28 @@ func open(data []byte, magic string) (*dec, error) {
 	return d, nil
 }
 
-// Decode reconstructs an artifact for the requesting source's name
-// table. When names matches the stored table byte-for-byte the texts
-// are reproduced verbatim. Otherwise the entry must be renameable and
-// the new table must satisfy the remap invariants (same length, same
-// relative sort order, no digit-ending names); the texts are then
-// rebuilt with every name reference substituted. Violations return
-// ErrIncompatible; a damaged blob returns ErrCorrupt.
-func Decode(data []byte, names []string) (*Artifact, error) {
+// Decode reconstructs an artifact from an Encode blob; a damaged or
+// other-version blob returns ErrCorrupt.
+func Decode(data []byte) (*Artifact, error) {
 	d, err := open(data, magicArtifact)
 	if err != nil {
 		return nil, err
 	}
 	flags := d.u8()
-	stored := d.names()
-	nTexts := [4][]segment{}
-	for i := range nTexts {
-		nTexts[i] = d.segs(len(stored))
+	a := &Artifact{
+		HasDeps:        flags&flagHasDeps != 0,
+		Classification: d.str(),
+		Dependences:    d.str(),
+		ExplainDeps:    d.str(),
+		ReportJSON:     d.str(),
 	}
-	nExpl := d.uvarint()
-	if d.bad || nExpl > len(d.b) {
+	n := d.uvarint()
+	if d.bad {
 		return nil, fmt.Errorf("%w: malformed body", ErrCorrupt)
 	}
-	expl := make([][2][]segment, 0, nExpl)
-	for i := 0; i < nExpl; i++ {
-		ns := d.segs(len(stored))
-		ts := d.segs(len(stored))
-		expl = append(expl, [2][]segment{ns, ts})
+	a.Explains = make([]ExplainEntry, 0, n)
+	for i := 0; i < n; i++ {
+		a.Explains = append(a.Explains, ExplainEntry{Name: d.str(), Text: d.str()})
 	}
 	if d.bad {
 		return nil, fmt.Errorf("%w: malformed body", ErrCorrupt)
@@ -341,126 +183,20 @@ func Decode(data []byte, names []string) (*Artifact, error) {
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
 	}
-
-	table := stored
-	if !sameTable(stored, names) {
-		if flags&flagRenameable == 0 {
-			return nil, fmt.Errorf("%w: entry is not renameable", ErrIncompatible)
-		}
-		if !remapOK(stored, names) {
-			return nil, fmt.Errorf("%w: table remap invariants violated", ErrIncompatible)
-		}
-		table = names
-	}
-
-	a := &Artifact{
-		HasDeps:        flags&flagHasDeps != 0,
-		Renameable:     flags&flagRenameable != 0,
-		Classification: render(nTexts[0], table),
-		Dependences:    render(nTexts[1], table),
-		ExplainDeps:    render(nTexts[2], table),
-		ReportJSON:     render(nTexts[3], table),
-	}
-	a.Explains = make([]ExplainEntry, 0, len(expl))
-	for _, pair := range expl {
-		a.Explains = append(a.Explains, ExplainEntry{
-			Name: render(pair[0], table),
-			Text: render(pair[1], table),
-		})
-	}
-	SortExplains(a.Explains)
+	sortExplains(a.Explains)
 	return a, nil
 }
 
-// DecodeAlias reads an alias record back into its structural key and
-// the name table of the source that wrote it.
-func DecodeAlias(data []byte) ([32]byte, []string, error) {
+// DecodeAlias reads an alias record back into its structural key.
+func DecodeAlias(data []byte) ([32]byte, error) {
 	var key [32]byte
 	d, err := open(data, magicAlias)
 	if err != nil {
-		return key, nil, err
+		return key, err
 	}
-	if d.off+32 > len(d.b) {
-		return key, nil, fmt.Errorf("%w: truncated key", ErrCorrupt)
+	if len(d.b)-d.off != len(key) {
+		return key, fmt.Errorf("%w: alias body is %d bytes, want %d", ErrCorrupt, len(d.b)-d.off, len(key))
 	}
-	copy(key[:], d.b[d.off:d.off+32])
-	d.off += 32
-	ns := d.names()
-	if d.bad {
-		return key, nil, fmt.Errorf("%w: malformed name table", ErrCorrupt)
-	}
-	if d.off != len(d.b) {
-		return key, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
-	}
-	return key, ns, nil
-}
-
-func render(ss []segment, table []string) string {
-	n := 0
-	for _, s := range ss {
-		if s.ref >= 0 {
-			n += len(table[s.ref])
-		}
-		n += len(s.lit)
-	}
-	out := make([]byte, 0, n)
-	for _, s := range ss {
-		if s.ref >= 0 {
-			out = append(out, table[s.ref]...)
-		}
-		out = append(out, s.lit...)
-	}
-	return string(out)
-}
-
-func sameTable(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// remapOK checks the invariants under which substituting new for old in
-// the stored texts reproduces, byte for byte, what a fresh analysis of
-// the renamed source would render:
-//
-//   - same table length (guaranteed by matching structural hash, but
-//     re-checked — the blob came off a disk we don't trust);
-//   - pairwise relative order preserved, because renderers sort by
-//     name (φ placement via interned variable order, dependence array
-//     listings) and a reordering would reorder their output;
-//   - no replaced name ends in a digit, because provenance keys derive
-//     a base name by stripping trailing digits and a digit-ending name
-//     shifts that derivation in the fresh run. A name the remap leaves
-//     unchanged (a variable both sources happen to call the same, or a
-//     digit-suffixed original like "i0") is exempt: the fresh run
-//     treats it exactly as the stored one did.
-func remapOK(old, new []string) bool {
-	if len(old) != len(new) {
-		return false
-	}
-	for i, n := range new {
-		if n == "" {
-			return false
-		}
-		if n == old[i] {
-			continue
-		}
-		if c := n[len(n)-1]; c >= '0' && c <= '9' {
-			return false
-		}
-	}
-	for i := range old {
-		for j := i + 1; j < len(old); j++ {
-			if (old[i] < old[j]) != (new[i] < new[j]) {
-				return false
-			}
-		}
-	}
-	return true
+	copy(key[:], d.b[d.off:])
+	return key, nil
 }

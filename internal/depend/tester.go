@@ -864,9 +864,7 @@ func belowExit(a *iv.Analysis, l *loops.Loop, exit *ir.Block, ac *Access) bool {
 }
 
 func renderEquation(fa, fb *iv.IterForm) string {
-	sa := strings.ReplaceAll(fa.String(), "h(", "h(")
-	sb := strings.ReplaceAll(fb.String(), "h(", "h'(")
-	return sa + " = " + sb
+	return fa.String() + " = " + strings.ReplaceAll(fb.String(), "h(", "h'(")
 }
 
 // lcm returns the least common multiple, reporting ok=false when it

@@ -229,9 +229,11 @@ type Config struct {
 	// across processes. Lookups try an alias record keyed by the exact
 	// source first (zero passes on a hit), then — after parsing — the
 	// structural entry keyed by the canonical AST hash, so whitespace
-	// and comment edits and α-renamed duplicates still hit. Every entry
-	// is decoded through the codec's checksum and version gate; a bad
-	// blob is deleted and the source re-analyzed.
+	// and comment edits still hit. α-renamed copies do not: names are
+	// hashed literally because every stored report names the
+	// program's variables. Every entry is decoded through the codec's
+	// checksum and version gate; a bad blob is deleted and the source
+	// re-analyzed.
 	Store *store.Store
 	// BuildArtifact serializes a fresh successful state into a codec
 	// blob for the disk store. The engine cannot build it itself — the
@@ -389,7 +391,6 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 		mark = time.Since(start)
 	}
 	var structSum [32]byte
-	var structNames []string
 	haveStruct := false
 	for i, p := range e.cfg.Passes {
 		err := runPass(lim, p, st)
@@ -422,17 +423,19 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 		}
 		// Disk tier, structural path: once the source is parsed its
 		// canonical AST hash is known; an entry written for a
-		// formatting- or α-variant of this program answers the run at
-		// the cost of the parse alone. The hash is computed whenever a
-		// store is configured — the write path needs it too.
+		// whitespace or comment variant of this program answers the run
+		// at the cost of the parse alone. Names are part of the hash, so
+		// an α-renamed copy misses here: its reports name different
+		// variables. The hash is computed whenever a store is
+		// configured — the write path needs it too.
 		if i == 0 && p.Name == "parse" && e.cfg.Store != nil && st.File != nil {
-			structSum, structNames = codec.StructuralHash(st.File)
+			structSum = codec.StructuralHash(st.File)
 			haveStruct = true
 			if diskRead {
-				if art := e.entryGet(structSum, structNames, rec, "engine.store.hit.struct"); art != nil {
+				if art := e.entryGet(structSum, rec, "engine.store.hit.struct"); art != nil {
 					// Leave an alias so this exact source skips even the
 					// parse from now on.
-					e.cfg.Store.Put(e.aliasKey(source), codec.EncodeAlias(structSum, structNames))
+					e.cfg.Store.Put(e.aliasKey(source), codec.EncodeAlias(structSum))
 					st.art = art
 					st.scratch = nil
 					e.arenas.Put(ar)
@@ -456,7 +459,7 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 	st.scratch = nil
 	e.arenas.Put(ar)
 	if haveStruct && e.cfg.BuildArtifact != nil {
-		e.diskWrite(st, structSum, structNames, rec)
+		e.diskWrite(st, structSum, rec)
 	}
 	if e.cache != nil {
 		if evicted := e.cache.put(key, st); evicted > 0 {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"crypto/sha256"
-	"errors"
 
 	"beyondiv/internal/codec"
 	"beyondiv/internal/obs"
@@ -16,9 +15,8 @@ import (
 //	entry key = H("biv.entry" ‖ fp ‖ structural hash)
 //
 // An alias record maps one exact source to the structural entry that
-// answers it, carrying that source's own name table — the entry may
-// have been written for an α-renamed sibling, so the table cannot live
-// in the entry. An entry holds the encoded artifact.
+// answers it; several formatting variants of one program alias the same
+// entry. An entry holds the encoded artifact.
 
 func (e *Engine) aliasKey(source string) [32]byte {
 	h := sha256.New()
@@ -51,40 +49,35 @@ func (e *Engine) storeCount(rec *obs.Recorder, name string) {
 }
 
 // aliasGet resolves the exact-source alias for source, then decodes the
-// structural entry it points at under the alias's name table. Any
-// corrupt blob on the way is counted, deleted and treated as a miss.
+// structural entry it points at. Any corrupt blob on the way is
+// counted, deleted and treated as a miss.
 func (e *Engine) aliasGet(source string, rec *obs.Recorder) *codec.Artifact {
 	ak := e.aliasKey(source)
 	data, ok := e.cfg.Store.Get(ak)
 	if !ok {
 		return nil
 	}
-	structSum, names, err := codec.DecodeAlias(data)
+	structSum, err := codec.DecodeAlias(data)
 	if err != nil {
 		e.cfg.Store.Delete(ak)
 		e.storeCount(rec, "engine.store.corrupt")
 		return nil
 	}
-	return e.entryGet(structSum, names, rec, "engine.store.hit.alias")
+	return e.entryGet(structSum, rec, "engine.store.hit.alias")
 }
 
-// entryGet reads and decodes the structural entry for structSum under
-// the requester's name table. A corrupt entry is deleted and counted; a
-// valid entry that cannot serve this table (not renameable, or a
-// remap-invariant violation) is kept for its own sources and reported
-// as a miss.
-func (e *Engine) entryGet(structSum [32]byte, names []string, rec *obs.Recorder, kind string) *codec.Artifact {
+// entryGet reads and decodes the structural entry for structSum. A
+// corrupt entry is deleted, counted and reported as a miss.
+func (e *Engine) entryGet(structSum [32]byte, rec *obs.Recorder, kind string) *codec.Artifact {
 	ek := e.entryKey(structSum)
 	data, ok := e.cfg.Store.Get(ek)
 	if !ok {
 		return nil
 	}
-	art, err := codec.Decode(data, names)
+	art, err := codec.Decode(data)
 	if err != nil {
-		if errors.Is(err, codec.ErrCorrupt) {
-			e.cfg.Store.Delete(ek)
-			e.storeCount(rec, "engine.store.corrupt")
-		}
+		e.cfg.Store.Delete(ek)
+		e.storeCount(rec, "engine.store.corrupt")
 		return nil
 	}
 	e.storeCount(rec, "engine.store.hit")
@@ -96,7 +89,7 @@ func (e *Engine) entryGet(structSum [32]byte, names []string, rec *obs.Recorder,
 // the structural key, plus an alias for the exact source that produced
 // it. Serialization or I/O failures only cost persistence — the live
 // result has already been computed and is returned regardless.
-func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string, rec *obs.Recorder) {
+func (e *Engine) diskWrite(st *State, structSum [32]byte, rec *obs.Recorder) {
 	data, err := e.cfg.BuildArtifact(st)
 	if err != nil || data == nil {
 		return
@@ -105,7 +98,7 @@ func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string, 
 	if err != nil {
 		return
 	}
-	e.cfg.Store.Put(e.aliasKey(st.Source), codec.EncodeAlias(structSum, structNames))
+	e.cfg.Store.Put(e.aliasKey(st.Source), codec.EncodeAlias(structSum))
 	e.storeCount(rec, "engine.store.write")
 	if evicted > 0 {
 		rec.Add("engine.store.evict", int64(evicted))

@@ -39,7 +39,8 @@ type Config struct {
 	// Arrays supplies the initial contents of array cells; nil means
 	// DefaultArray.
 	Arrays func(name string, index int64) int64
-	// MaxSteps bounds executed statements/values; 0 means 1e6.
+	// MaxSteps bounds executed statements/values, and for the SSA
+	// interpreter block entries too; 0 means 1e6.
 	MaxSteps int
 }
 

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"testing"
+	"time"
 
 	"beyondiv/internal/cfgbuild"
 	"beyondiv/internal/ir"
@@ -171,5 +172,25 @@ for i = 1 to 1000 {
 		if _, err := RunSSA(info, Config{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSSAStepLimitEmptyLoop: an empty block that jumps to itself has no
+// values to charge, so the budget must also be charged per block entry
+// or `loop {}` never returns.
+func TestSSAStepLimitEmptyLoop(t *testing.T) {
+	info := ssa.Build(cfgbuild.Build(parse.MustParse("loop {}\n")).Func)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunSSA(info, Config{MaxSteps: 1000})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != ErrStepLimit {
+			t.Fatalf("RunSSA(loop {}) = %v, want ErrStepLimit", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("RunSSA(loop {}) did not return")
 	}
 }

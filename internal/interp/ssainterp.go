@@ -43,6 +43,12 @@ func RunSSAHooked(info *ssa.Info, cfg Config, hooks Hooks) (*Result, error) {
 	block := f.Entry
 	var prev *ir.Block
 	for block != nil {
+		// Every block entry costs a step as well as every value, so a
+		// cycle of empty blocks (`loop {}`) still exhausts the budget.
+		steps++
+		if steps > limit {
+			return nil, ErrStepLimit
+		}
 		if hooks.OnBlock != nil {
 			hooks.OnBlock(block)
 		}

@@ -250,10 +250,7 @@ func (a *Analysis) ExplainVar(name string) string {
 // each classified value (loops innermost first, values by SSA id) its
 // SSA name, that name with the version suffix stripped, and the
 // renamer's source-variable record — exactly the names varMatches
-// accepts, first occurrence only. The order is structural: two
-// α-renamed programs yield tables of the same length whose entries
-// correspond position by position, which is what lets the codec align
-// per-key provenance texts between a program and its rename twin.
+// accepts, first occurrence only, in a deterministic order.
 func (a *Analysis) ExplainKeys() []string {
 	var keys []string
 	seen := map[string]bool{}

@@ -132,9 +132,9 @@ func TestPersistWarmStartZeroPasses(t *testing.T) {
 }
 
 // TestPersistStructuralHit: whitespace- and comment-only edits hit the
-// structural entry (a parse, zero analysis passes), and an α-renamed
-// duplicate whose names keep their relative order is served from the
-// same entry, byte-identical to analyzing it live.
+// structural entry (a parse, zero analysis passes). α-renamed copies
+// miss: their reports name other variables, so each is analyzed live
+// and written as its own entry, never served another program's.
 func TestPersistStructuralHit(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(persistFacadeSrc); err != nil {
@@ -162,42 +162,33 @@ func TestPersistStructuralHit(t *testing.T) {
 	keys := fresh.IV.ExplainKeys()
 	diffViews(t, "format-variant", artifactViews(t, fresh, keys), artifactViews(t, prog, keys))
 
-	// α-rename preserving relative name order: every report is the
-	// renamed program's own, decoded by remapping the stored entry.
-	renamed := persistFacadeSrc
+	// α-renamed copies: one keeps the names' relative order, one
+	// breaks it ("j" sorted after "a" becomes "c" sorted before).
+	ordered := persistFacadeSrc
 	for _, sub := range [][2]string{{"j", "jj"}, {"i", "ii"}, {"a", "aa"}, {"b", "bb"}, {"k", "kk"}, {"m", "mm"}, {"n", "nn"}} {
-		renamed = renameIdent(renamed, sub[0], sub[1])
+		ordered = renameIdent(ordered, sub[0], sub[1])
 	}
-	reg2 := metrics.NewRegistry()
-	reader2 := NewAnalyzer(Options{CacheDir: dir, Metrics: reg2})
-	rprog, err := reader2.Analyze(renamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rprog.Decoded() {
-		t.Fatal("order-preserving rename missed the structural entry")
-	}
-	rfresh, err := Analyze(renamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rkeys := rfresh.IV.ExplainKeys()
-	diffViews(t, "alpha-rename", artifactViews(t, rfresh, rkeys), artifactViews(t, rprog, rkeys))
-
-	// A rename that breaks relative order ("j" sorted after "a" becomes
-	// "c" sorted before) cannot be served by remap: it must fall back to
-	// a live analysis, never a misrendered artifact.
-	broken := renameIdent(persistFacadeSrc, "j", "c")
-	reg3 := metrics.NewRegistry()
-	bprog, err := NewAnalyzer(Options{CacheDir: dir, Metrics: reg3}).Analyze(broken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bprog.Decoded() {
-		t.Fatal("order-breaking rename served from the store")
-	}
-	if got := reg3.Counter("engine.store.corrupt"); got != 0 {
-		t.Fatalf("incompatible remap counted as corruption (%d)", got)
+	for _, renamed := range []string{ordered, renameIdent(persistFacadeSrc, "j", "c")} {
+		reg := metrics.NewRegistry()
+		rprog, err := NewAnalyzer(Options{CacheDir: dir, Metrics: reg}).Analyze(renamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rprog.Decoded() {
+			t.Fatalf("α-renamed copy served from the store:\n%s", renamed)
+		}
+		rfresh, err := Analyze(renamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rkeys := append(rfresh.IV.ExplainKeys(), "j", "jj", "c")
+		diffViews(t, "alpha-rename", artifactViews(t, rfresh, rkeys), artifactViews(t, rprog, rkeys))
+		if got := reg.Counter("engine.store.write"); got != 1 {
+			t.Fatalf("engine.store.write = %d for a renamed copy, want 1", got)
+		}
+		if got := reg.Counter("engine.store.corrupt"); got != 0 {
+			t.Fatalf("renamed copy counted as corruption (%d)", got)
+		}
 	}
 }
 
