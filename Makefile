@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzInterpreters -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzRun -fuzztime $(FUZZTIME) -run '^$$' .
+	$(GO) test -fuzz FuzzOptimize -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzArtifactCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
 
 clean:

@@ -12,6 +12,7 @@ import (
 
 	"beyondiv/internal/guard"
 	"beyondiv/internal/obs"
+	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/paper"
 	"beyondiv/internal/progen"
 )
@@ -141,42 +142,42 @@ func TestCacheHitReturnsSameArtifacts(t *testing.T) {
 	}
 }
 
-// TestCacheFingerprintMiss: a shared cache keeps analyzers with
-// different option fingerprints apart — same source, different
-// options, no false hit.
+// TestCacheFingerprintMiss: a shared cache directory keeps analyzers
+// with different option fingerprints apart — same source, different
+// options, no false hit — while identical options hit each other's
+// entries.
 func TestCacheFingerprintMiss(t *testing.T) {
 	src := paper.ByID("E6").Source
-	cache := NewCache(8)
-	a1, err := NewAnalyzer(Options{Cache: cache}).Analyze(src)
-	if err != nil {
+	dir := t.TempDir()
+	if _, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(src); err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New()
-	opts := Options{Cache: cache, Obs: rec}
+	reg := metrics.NewRegistry()
+	opts := Options{CacheDir: dir, Metrics: reg}
 	opts.IV.DisableClosedForms = true
 	a2, err := NewAnalyzer(opts).Analyze(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counter("engine.cache.hit") != 0 {
-		t.Error("differing options fingerprint hit the cache")
+	if a2.Decoded() || reg.Counter("engine.store.hit") != 0 {
+		t.Error("differing options fingerprint hit the store")
 	}
-	if rec.Counter("engine.cache.miss") != 1 {
-		t.Errorf("engine.cache.miss = %d, want 1", rec.Counter("engine.cache.miss"))
+	if reg.Counter("engine.store.miss") != 1 || reg.Counter("engine.store.write") != 1 {
+		t.Errorf("engine.store.miss/write = %d/%d, want 1/1",
+			reg.Counter("engine.store.miss"), reg.Counter("engine.store.write"))
 	}
-	if a1.IV == a2.IV {
-		t.Error("analyzers with different options share an analysis")
-	}
-	if cache.Len() != 2 {
-		t.Errorf("shared cache holds %d entries, want 2", cache.Len())
-	}
-	// Same options + same cache from a fresh analyzer: true hit.
-	rec2 := obs.New()
-	if _, err := NewAnalyzer(Options{Cache: cache, Obs: rec2}).Analyze(src); err != nil {
-		t.Fatal(err)
-	}
-	if rec2.Counter("engine.cache.hit") != 1 {
-		t.Error("identical options + shared cache missed")
+	// Same options + same directory from a fresh analyzer: true hit,
+	// for both option sets.
+	for _, o := range []Options{{}, opts} {
+		reg2 := metrics.NewRegistry()
+		o.CacheDir, o.Metrics = dir, reg2
+		p, err := NewAnalyzer(o).Analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Decoded() || reg2.Counter("engine.store.hit.struct") != 1 {
+			t.Errorf("identical options + shared cache dir missed (closed forms off: %t)", o.IV.DisableClosedForms)
+		}
 	}
 }
 

@@ -134,27 +134,25 @@ type Options struct {
 	// batch workers (floor 1) unless set explicitly, so batch × intra-run
 	// parallelism does not oversubscribe the machine.
 	Parallel int
-	// CacheEntries, when positive, gives the analyzer a private LRU
-	// result cache of that capacity, keyed by source hash + options
+	// CacheEntries, when positive, gives the analyzer an LRU result
+	// cache of that capacity, keyed by source hash + options
 	// fingerprint: re-analyzing an unchanged source returns the cached
-	// Program's artifacts without running the pipeline. Cached artifacts
-	// are shared and immutable; Optimize works on a private clone of the
-	// cached program (clone-on-transform), so optimizing a cache hit is
-	// always safe.
+	// Program's artifacts without running the pipeline. Analyzers
+	// derived with WithParallel share it. Cached artifacts are shared
+	// and immutable; Optimize works on a private clone of the cached
+	// program (clone-on-transform), so optimizing a cache hit is always
+	// safe.
 	CacheEntries int
-	// Cache, when non-nil, overrides CacheEntries with an explicit
-	// cache, which may be shared across analyzers with different
-	// options; the fingerprint in each key keeps their entries apart.
-	Cache *Cache
 	// CacheDir, when non-empty, adds a persistent second cache tier: a
 	// disk-backed content-addressed store of serialized analysis
 	// artifacts (reports, structured report data, provenance chains)
-	// layered under the in-memory cache. Entries are keyed by a
-	// canonical structural hash of the parsed program — whitespace and
-	// comment edits hit the same entry; α-renamed copies, whose reports
-	// name other variables, do not — and survive process restarts: a
-	// warm store answers without running a single analysis pass beyond
-	// parsing. Programs served from disk carry rendered artifacts only
+	// layered under the in-memory cache. Each program has one entry,
+	// keyed by a canonical structural hash of the parsed program —
+	// whitespace and comment edits hit the same entry; α-renamed
+	// copies, whose reports name other variables, do not — and entries
+	// survive process restarts: a warm store answers with the parse and
+	// one blob read, running no analysis pass after the parse. Programs
+	// served from disk carry rendered artifacts only
 	// (Program.Decoded reports this); the SSA graph, interpreter and
 	// Optimize need a live analysis. The directory is created if
 	// needed; an unusable directory surfaces as an error from every
@@ -200,13 +198,6 @@ type Options struct {
 // — internal faults that would otherwise crash the caller — carry the
 // panicking goroutine's Stack.
 type Error = engine.Error
-
-// Cache is a concurrency-safe LRU of analysis results, shareable
-// across analyzers; see Options.Cache and NewCache.
-type Cache = engine.Cache
-
-// NewCache returns a result cache holding up to capacity analyses.
-func NewCache(capacity int) *Cache { return engine.NewCache(capacity) }
 
 // Fingerprint identifies the option fields that change analysis
 // results, for the content-addressed caches (in-memory, on-disk, and
@@ -264,7 +255,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 		Limits:         opts.Limits,
 		Jobs:           opts.Jobs,
 		Parallel:       opts.Parallel,
-		Cache:          opts.Cache,
 		CacheEntries:   opts.CacheEntries,
 		Fingerprint:    opts.Fingerprint(),
 		BatchSteps:     opts.BatchSteps,
@@ -284,6 +274,16 @@ func NewAnalyzer(opts Options) *Analyzer {
 		}
 	}
 	return &Analyzer{eng: engine.New(cfg), passErr: passErr, storeErr: storeErr}
+}
+
+// WithParallel returns an analyzer identical to a but for its
+// intra-run fan-out width p (Options.Parallel semantics). The two share
+// the result cache, the disk store and the metrics; results are
+// identical at every width, so sharing cached ones is exact.
+func (a *Analyzer) WithParallel(p int) *Analyzer {
+	b := *a
+	b.eng = a.eng.WithParallel(p)
+	return &b
 }
 
 // Analyze parses and analyzes one program.

@@ -105,7 +105,7 @@ func main() {
 		fopts := opts
 		// Faults must not be masked by the in-memory cache or the disk
 		// store (a decoded hit would never reach the injected phase).
-		fopts.CacheEntries, fopts.Cache, fopts.CacheDir = 0, nil, ""
+		fopts.CacheEntries, fopts.CacheDir = 0, ""
 		fopts.Limits.Inject = guard.PanicIn(*inject)
 		faulty = beyondiv.NewAnalyzer(fopts)
 	}

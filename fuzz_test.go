@@ -112,6 +112,39 @@ func FuzzRun(f *testing.F) {
 	})
 }
 
+// FuzzOptimize drives the transform pipeline with translation
+// validation on. Hostile input must come back as a result or a
+// structured *Error; an error of another type, or a contained fault
+// (a *Error carrying a Stack), fails. A hang fails the fuzzer's own
+// per-input deadline.
+func FuzzOptimize(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	for _, s := range adversarialSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<12 {
+			return
+		}
+		res, err := Optimize(src)
+		if err != nil {
+			var e *Error
+			if !errors.As(err, &e) {
+				t.Fatalf("unstructured error %T: %v", err, err)
+			}
+			if e.Stack != nil {
+				t.Fatalf("contained fault in %s: %v\n%s", e.Phase, e.Err, e.Stack)
+			}
+			return
+		}
+		if res.Program == nil {
+			t.Fatalf("nil program with nil error")
+		}
+	})
+}
+
 // FuzzInterpreters checks that any program that parses runs identically
 // under the AST and SSA interpreters (within a small budget).
 func FuzzInterpreters(f *testing.F) {

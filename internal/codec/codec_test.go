@@ -165,28 +165,6 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestAliasRoundTrip(t *testing.T) {
-	var key [32]byte
-	for i := range key {
-		key[i] = byte(i * 7)
-	}
-	data := EncodeAlias(key)
-	gotKey, err := DecodeAlias(data)
-	if err != nil {
-		t.Fatalf("DecodeAlias: %v", err)
-	}
-	if gotKey != key {
-		t.Fatalf("alias round trip mismatch: %x", gotKey)
-	}
-	data[10] ^= 0x01
-	if _, err := DecodeAlias(data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted alias: got %v, want ErrCorrupt", err)
-	}
-	if _, err := DecodeAlias(data[:8]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated alias: got %v, want ErrCorrupt", err)
-	}
-}
-
 // FuzzArtifactCodec exercises both directions: arbitrary artifacts must
 // round-trip exactly through Encode/Decode, and arbitrary bytes must
 // decode to an error, never a panic or a fabricated artifact.
@@ -215,9 +193,6 @@ func FuzzArtifactCodec(f *testing.F) {
 		// never panic.
 		if a2, err := Decode(raw); err == nil && a2 == nil {
 			t.Fatalf("nil artifact with nil error")
-		}
-		if _, err := DecodeAlias(raw); err == nil && len(raw) == 0 {
-			t.Fatalf("empty alias decoded")
 		}
 	})
 }

@@ -7,13 +7,13 @@ import (
 	"fmt"
 )
 
-// Wire format. Artifact blobs ("BIVC") and alias records ("BIVA") share
-// the same envelope: magic, little-endian uint16 schema version, body,
-// then the first 8 bytes of a SHA-256 over everything before as a
-// self-check. Any envelope violation — wrong magic, unknown version,
-// checksum mismatch, truncation, trailing bytes — decodes to ErrCorrupt
-// and the caller deletes the entry and re-analyzes; it can never surface
-// a wrong answer.
+// Wire format. An artifact blob is an envelope: the magic "BIVC", a
+// little-endian uint16 schema version, the body, then the first 8
+// bytes of a SHA-256 over everything before as a self-check. Any
+// envelope violation — wrong magic, unknown version, checksum mismatch,
+// truncation, trailing bytes — decodes to ErrCorrupt and the caller
+// deletes the entry and re-analyzes; it can never surface a wrong
+// answer.
 const (
 	// Version is the artifact schema version. Bump it whenever the body
 	// layout, the structural hash, or the meaning of any stored text
@@ -21,7 +21,6 @@ const (
 	Version = 2
 
 	magicArtifact = "BIVC"
-	magicAlias    = "BIVA"
 	checksumLen   = 8
 
 	flagHasDeps = 1 << 0
@@ -66,16 +65,6 @@ func Encode(a *Artifact) []byte {
 		e.str(ex.Name)
 		e.str(ex.Text)
 	}
-	return e.seal()
-}
-
-// EncodeAlias serializes an alias record: "this exact source, under this
-// options fingerprint, resolves to structural entry structKey".
-func EncodeAlias(structKey [32]byte) []byte {
-	e := &enc{}
-	e.raw([]byte(magicAlias))
-	e.u16(Version)
-	e.raw(structKey[:])
 	return e.seal()
 }
 
@@ -133,10 +122,10 @@ func (d *dec) str() string {
 	return s
 }
 
-// open validates the envelope (magic, version, checksum) and returns a
-// decoder positioned at the body.
-func open(data []byte, magic string) (*dec, error) {
-	if len(data) < len(magic)+2+checksumLen {
+// Decode reconstructs an artifact from an Encode blob; a damaged or
+// other-version blob returns ErrCorrupt.
+func Decode(data []byte) (*Artifact, error) {
+	if len(data) < len(magicArtifact)+2+checksumLen {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCorrupt, len(data))
 	}
 	body, sum := data[:len(data)-checksumLen], data[len(data)-checksumLen:]
@@ -144,22 +133,12 @@ func open(data []byte, magic string) (*dec, error) {
 	if string(sum) != string(want[:checksumLen]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if string(body[:len(magic)]) != magic {
+	if string(body[:len(magicArtifact)]) != magicArtifact {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	d := &dec{b: body, off: len(magic)}
+	d := &dec{b: body, off: len(magicArtifact)}
 	if v := d.u16(); v != Version {
 		return nil, fmt.Errorf("%w: schema version %d, want %d", ErrCorrupt, v, Version)
-	}
-	return d, nil
-}
-
-// Decode reconstructs an artifact from an Encode blob; a damaged or
-// other-version blob returns ErrCorrupt.
-func Decode(data []byte) (*Artifact, error) {
-	d, err := open(data, magicArtifact)
-	if err != nil {
-		return nil, err
 	}
 	flags := d.u8()
 	a := &Artifact{
@@ -185,18 +164,4 @@ func Decode(data []byte) (*Artifact, error) {
 	}
 	sortExplains(a.Explains)
 	return a, nil
-}
-
-// DecodeAlias reads an alias record back into its structural key.
-func DecodeAlias(data []byte) ([32]byte, error) {
-	var key [32]byte
-	d, err := open(data, magicAlias)
-	if err != nil {
-		return key, err
-	}
-	if len(d.b)-d.off != len(key) {
-		return key, fmt.Errorf("%w: alias body is %d bytes, want %d", ErrCorrupt, len(d.b)-d.off, len(key))
-	}
-	copy(key[:], d.b[d.off:])
-	return key, nil
 }

@@ -8,9 +8,7 @@ import (
 
 // cacheKey content-addresses one analysis: the SHA-256 of the engine's
 // fingerprint (caller options + limits + pass names) and the source
-// text. Two engines sharing a Cache never collide unless both their
-// options and their input agree — in which case sharing the result is
-// exactly right.
+// text.
 type cacheKey [sha256.Size]byte
 
 // key hashes one source under this engine's fingerprint.
@@ -24,14 +22,14 @@ func (e *Engine) key(source string) cacheKey {
 	return k
 }
 
-// Cache is a concurrency-safe LRU of successful analysis results,
+// cache is a concurrency-safe LRU of successful analysis results,
 // content-addressed by source hash + options fingerprint. Failed runs
 // are never cached (a limit hit under one budget is not a fact about
 // the source). States handed out on a hit are shared — they are
 // immutable after analysis, so sharing is safe; callers that mutate
 // artifacts (e.g. applying transformations to the SSA) should analyze
 // without a cache.
-type Cache struct {
+type cache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[cacheKey]*list.Element
@@ -43,31 +41,21 @@ type cacheEntry struct {
 	st  *State
 }
 
-// NewCache returns an LRU holding up to capacity results; capacity <= 0
+// newCache returns an LRU holding up to capacity results; capacity <= 0
 // returns nil (no caching), which every method tolerates.
-func NewCache(capacity int) *Cache {
+func newCache(capacity int) *cache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Cache{
+	return &cache{
 		cap:     capacity,
 		entries: make(map[cacheKey]*list.Element, capacity),
 		order:   list.New(),
 	}
 }
 
-// Len returns the number of cached results.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // get returns the cached state for key, refreshing its recency, or nil.
-func (c *Cache) get(key cacheKey) *State {
+func (c *cache) get(key cacheKey) *State {
 	if c == nil {
 		return nil
 	}
@@ -83,7 +71,7 @@ func (c *Cache) get(key cacheKey) *State {
 
 // put inserts a result, evicting from the cold end past capacity, and
 // reports how many entries were evicted.
-func (c *Cache) put(key cacheKey, st *State) (evicted int64) {
+func (c *cache) put(key cacheKey, st *State) (evicted int64) {
 	if c == nil {
 		return 0
 	}

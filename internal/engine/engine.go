@@ -25,7 +25,10 @@
 //     batch as a whole has a work ceiling;
 //   - a content-addressed result cache (cache.go): an LRU keyed by
 //     source hash + options fingerprint, so repeated analysis of hot
-//     sources is a hash and a map hit.
+//     sources is a hash and a map hit;
+//   - an optional disk tier under it (persist.go): one entry per
+//     program, keyed by the structural hash of its parsed AST, so a
+//     restarted process pays the parse and one blob read per program.
 package engine
 
 import (
@@ -209,12 +212,9 @@ type Config struct {
 	// explicit width is honored as given. Parallel deliberately stays
 	// out of the cache fingerprint.
 	Parallel int
-	// Cache, when non-nil, memoizes successful runs content-addressed
-	// by source hash + fingerprint. A cache may be shared by several
-	// engines; differing fingerprints keep their entries apart.
-	Cache *Cache
-	// CacheEntries, when positive and Cache is nil, gives the engine a
-	// private LRU of that capacity.
+	// CacheEntries, when positive, gives the engine an LRU of that
+	// capacity memoizing successful runs by source hash + fingerprint.
+	// Engines derived with WithParallel share it.
 	CacheEntries int
 	// Fingerprint distinguishes option sets that change analysis
 	// results (ablation switches, dependence options); it is mixed
@@ -226,14 +226,13 @@ type Config struct {
 	BatchSteps int64
 	// Store, when non-nil, is the persistent second tier under the
 	// in-memory cache: a disk-backed content-addressed store shared
-	// across processes. Lookups try an alias record keyed by the exact
-	// source first (zero passes on a hit), then — after parsing — the
-	// structural entry keyed by the canonical AST hash, so whitespace
-	// and comment edits still hit. α-renamed copies do not: names are
-	// hashed literally because every stored report names the
-	// program's variables. Every entry is decoded through the codec's
-	// checksum and version gate; a bad blob is deleted and the source
-	// re-analyzed.
+	// across processes. Each program has one entry, keyed by the
+	// canonical hash of its parsed AST, so a lookup costs the parse
+	// and one blob read, and whitespace and comment edits hit the same
+	// entry. α-renamed copies do not: names are hashed literally
+	// because every stored report names the program's variables. Every
+	// entry is decoded through the codec's checksum and version gate; a
+	// bad blob is deleted and the source re-analyzed.
 	Store *store.Store
 	// BuildArtifact serializes a fresh successful state into a codec
 	// blob for the disk store. The engine cannot build it itself — the
@@ -270,7 +269,7 @@ type Config struct {
 // Engines are safe for concurrent use.
 type Engine struct {
 	cfg   Config
-	cache *Cache
+	cache *cache
 	fp    string // full cache-key prefix: caller fingerprint + limits + passes
 	ins   *instr // nil unless Metrics or Flight is configured
 	par   int    // resolved Config.Parallel: 0 mapped to GOMAXPROCS
@@ -287,14 +286,8 @@ type Engine struct {
 // engine entry points never run unguarded.
 func New(cfg Config) *Engine {
 	cfg.Limits = cfg.Limits.Normalize()
-	e := &Engine{cfg: cfg, cache: cfg.Cache, ins: newInstr(&cfg), arenas: scratch.NewPool()}
-	e.par = cfg.Parallel
-	if e.par <= 0 {
-		e.par = runtime.GOMAXPROCS(0)
-	}
-	if e.cache == nil && cfg.CacheEntries > 0 {
-		e.cache = NewCache(cfg.CacheEntries)
-	}
+	e := &Engine{cfg: cfg, cache: newCache(cfg.CacheEntries), ins: newInstr(&cfg),
+		par: resolvePar(cfg.Parallel), arenas: scratch.NewPool()}
 	l := cfg.Limits
 	// Every variable-length component is length-prefixed so no crafted
 	// fingerprint or pass name can make two distinct configurations
@@ -306,6 +299,26 @@ func New(cfg Config) *Engine {
 		e.fp += fmt.Sprintf("|%d:%s", len(p.Name), p.Name)
 	}
 	return e
+}
+
+// resolvePar maps a Config.Parallel width to a worker count: 0 (or
+// less) means one per available CPU.
+func resolvePar(p int) int {
+	if p <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p
+}
+
+// WithParallel returns an engine identical to e but for its intra-run
+// fan-out width (Config.Parallel semantics). The two share the cache,
+// the disk store, the scratch pool and the instrumentation; results are
+// identical at every width, so sharing the cached ones is exact.
+func (e *Engine) WithParallel(p int) *Engine {
+	c := *e
+	c.cfg.Parallel = p
+	c.par = resolvePar(p)
+	return &c
 }
 
 // Analyze runs the pipeline on one source. On hostile or malformed
@@ -360,22 +373,7 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 		}
 	}
 
-	// Disk tier, fast path: an alias record for this exact source and
-	// fingerprint resolves straight to an artifact — zero passes run.
 	diskRead := e.cfg.Store != nil && !e.cfg.StoreWriteOnly && !needLive
-	if diskRead {
-		if art := e.aliasGet(source, rec); art != nil {
-			st := &State{Source: source, rec: rec, lim: lim, extra: map[string]any{}, art: art}
-			if e.cache != nil {
-				e.cache.put(key, st)
-			}
-			if e.ins != nil {
-				e.ins.record(source, start, time.Since(start), span, nil, true)
-			}
-			return st, nil
-		}
-	}
-
 	ar := e.arenas.Get()
 	st := &State{Source: source, rec: rec, lim: lim, extra: map[string]any{}, scratch: ar, par: par}
 	if e.ins != nil {
@@ -421,21 +419,18 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 			}
 			return nil, err
 		}
-		// Disk tier, structural path: once the source is parsed its
-		// canonical AST hash is known; an entry written for a
-		// whitespace or comment variant of this program answers the run
-		// at the cost of the parse alone. Names are part of the hash, so
-		// an α-renamed copy misses here: its reports name different
+		// Disk tier: once the source is parsed its canonical AST hash
+		// is known; the entry written for this program, or for a
+		// whitespace or comment variant of it, answers the run at the
+		// cost of the parse alone. Names are part of the hash, so an
+		// α-renamed copy misses here: its reports name different
 		// variables. The hash is computed whenever a store is
 		// configured — the write path needs it too.
 		if i == 0 && p.Name == "parse" && e.cfg.Store != nil && st.File != nil {
 			structSum = codec.StructuralHash(st.File)
 			haveStruct = true
 			if diskRead {
-				if art := e.entryGet(structSum, rec, "engine.store.hit.struct"); art != nil {
-					// Leave an alias so this exact source skips even the
-					// parse from now on.
-					e.cfg.Store.Put(e.aliasKey(source), codec.EncodeAlias(structSum))
+				if art := e.entryGet(structSum, rec); art != nil {
 					st.art = art
 					st.scratch = nil
 					e.arenas.Put(ar)

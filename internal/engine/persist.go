@@ -7,28 +7,14 @@ import (
 	"beyondiv/internal/obs"
 )
 
-// Disk-tier key derivation. Two key families share the store, separated
-// by domain tags and both mixed with the engine fingerprint (options +
-// limits + pass names, length-prefixed):
+// Disk-tier key derivation. Each program has one entry, keyed by its
+// structural hash under a domain tag, mixed with the engine fingerprint
+// (options + limits + pass names, length-prefixed):
 //
-//	alias key = H("biv.alias" ‖ fp ‖ raw source)
 //	entry key = H("biv.entry" ‖ fp ‖ structural hash)
 //
-// An alias record maps one exact source to the structural entry that
-// answers it; several formatting variants of one program alias the same
-// entry. An entry holds the encoded artifact.
-
-func (e *Engine) aliasKey(source string) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("biv.alias\x00"))
-	h.Write([]byte(e.fp))
-	h.Write([]byte{0})
-	h.Write([]byte(source))
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
-
+// The entry holds the encoded artifact. Formatting variants of one
+// program share it.
 func (e *Engine) entryKey(structSum [32]byte) [32]byte {
 	h := sha256.New()
 	h.Write([]byte("biv.entry\x00"))
@@ -48,27 +34,9 @@ func (e *Engine) storeCount(rec *obs.Recorder, name string) {
 	}
 }
 
-// aliasGet resolves the exact-source alias for source, then decodes the
-// structural entry it points at. Any corrupt blob on the way is
-// counted, deleted and treated as a miss.
-func (e *Engine) aliasGet(source string, rec *obs.Recorder) *codec.Artifact {
-	ak := e.aliasKey(source)
-	data, ok := e.cfg.Store.Get(ak)
-	if !ok {
-		return nil
-	}
-	structSum, err := codec.DecodeAlias(data)
-	if err != nil {
-		e.cfg.Store.Delete(ak)
-		e.storeCount(rec, "engine.store.corrupt")
-		return nil
-	}
-	return e.entryGet(structSum, rec, "engine.store.hit.alias")
-}
-
-// entryGet reads and decodes the structural entry for structSum. A
-// corrupt entry is deleted, counted and reported as a miss.
-func (e *Engine) entryGet(structSum [32]byte, rec *obs.Recorder, kind string) *codec.Artifact {
+// entryGet reads and decodes the entry for structSum. A corrupt entry
+// is deleted, counted and reported as a miss.
+func (e *Engine) entryGet(structSum [32]byte, rec *obs.Recorder) *codec.Artifact {
 	ek := e.entryKey(structSum)
 	data, ok := e.cfg.Store.Get(ek)
 	if !ok {
@@ -81,14 +49,14 @@ func (e *Engine) entryGet(structSum [32]byte, rec *obs.Recorder, kind string) *c
 		return nil
 	}
 	e.storeCount(rec, "engine.store.hit")
-	e.storeCount(rec, kind)
+	e.storeCount(rec, "engine.store.hit.struct")
 	return art
 }
 
 // diskWrite persists a fresh successful run: the encoded artifact under
-// the structural key, plus an alias for the exact source that produced
-// it. Serialization or I/O failures only cost persistence — the live
-// result has already been computed and is returned regardless.
+// its structural key. Serialization or I/O failures only cost
+// persistence — the live result has already been computed and is
+// returned regardless.
 func (e *Engine) diskWrite(st *State, structSum [32]byte, rec *obs.Recorder) {
 	data, err := e.cfg.BuildArtifact(st)
 	if err != nil || data == nil {
@@ -98,7 +66,6 @@ func (e *Engine) diskWrite(st *State, structSum [32]byte, rec *obs.Recorder) {
 	if err != nil {
 		return
 	}
-	e.cfg.Store.Put(e.aliasKey(st.Source), codec.EncodeAlias(structSum))
 	e.storeCount(rec, "engine.store.write")
 	if evicted > 0 {
 		rec.Add("engine.store.evict", int64(evicted))

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -100,13 +99,6 @@ type Server struct {
 	// key: faults are remembered per endpoint and option set, never
 	// shared across them.
 	optFP string
-	// byPar memoizes width-specific sibling analyzers for requests
-	// whose "parallel" differs from the configured default. Siblings
-	// share the default analyzer's cache, metrics and flight recorder
-	// (Parallel stays out of the cache fingerprint — results are
-	// bit-identical at every width).
-	mu    sync.Mutex
-	byPar map[int]*beyondiv.Analyzer
 
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when draining starts
@@ -135,13 +127,6 @@ func New(cfg Config) *Server {
 	if cfg.Options.Metrics == nil {
 		cfg.Options.Metrics = metrics.NewRegistry()
 	}
-	// Materialize a requested private cache so width-specific sibling
-	// analyzers (per-request "parallel") share it instead of each
-	// building their own.
-	if cfg.Options.Cache == nil && cfg.Options.CacheEntries > 0 {
-		cfg.Options.Cache = beyondiv.NewCache(cfg.Options.CacheEntries)
-		cfg.Options.CacheEntries = 0
-	}
 	s := &Server{
 		cfg:     cfg,
 		an:      beyondiv.NewAnalyzer(cfg.Options),
@@ -149,7 +134,6 @@ func New(cfg Config) *Server {
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		poison:  newPoison(cfg.PoisonCapacity),
 		optFP:   cfg.Options.Fingerprint(),
-		byPar:   map[int]*beyondiv.Analyzer{},
 		drainCh: make(chan struct{}),
 	}
 	return s
@@ -416,34 +400,24 @@ func (s *Server) gauges() {
 }
 
 // analyzer returns the analyzer a request runs on: the shared one, a
-// memoized width-specific sibling when the body asks for a different
-// "parallel", or — for injected test faults — a private uncached
-// analyzer whose named phase panics.
+// view of it at another width when the body asks for a different
+// "parallel" (sharing its cache, store and metrics), or — for injected
+// test faults — a private uncached analyzer whose named phase panics.
 func (s *Server) analyzer(req *request) *beyondiv.Analyzer {
 	if req.Inject != "" {
 		opts := s.cfg.Options
 		// Faults must not be masked (or cached) — by the in-memory cache or
 		// by the persistent store, either of which could serve a decoded
 		// result without ever reaching the injected phase.
-		opts.Cache, opts.CacheEntries, opts.CacheDir = nil, 0, ""
+		opts.CacheEntries, opts.CacheDir = 0, ""
 		opts.Limits.Inject = guard.PanicIn(req.Inject)
 		opts.Parallel = s.effectiveParallel(req)
 		return beyondiv.NewAnalyzer(opts)
 	}
-	p := s.effectiveParallel(req)
-	if p == s.cfg.Options.Parallel {
-		return s.an
+	if p := s.effectiveParallel(req); p != s.cfg.Options.Parallel {
+		return s.an.WithParallel(p)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	an, ok := s.byPar[p]
-	if !ok {
-		opts := s.cfg.Options
-		opts.Parallel = p
-		an = beyondiv.NewAnalyzer(opts)
-		s.byPar[p] = an
-	}
-	return an
+	return s.an
 }
 
 // effectiveParallel resolves a request's intra-run fan-out width:

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -434,6 +436,52 @@ func TestTimeoutCap(t *testing.T) {
 	code, _ := post(t, base, "/v1/analyze", &request{Source: testSrc, TimeoutMS: 3_600_000}, &eb)
 	if code != 503 || eb.Kind != "deadline" {
 		t.Fatalf("capped timeout = %d %+v, want 503/deadline", code, eb)
+	}
+}
+
+// TestParallelWidthsShareStore: requests at different "parallel"
+// widths run on one disk store, so its size budget holds for the
+// directory as a whole. Separately opened stores over one directory
+// each count only their own writes and together grow it past the
+// budget.
+func TestParallelWidthsShareStore(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 64 << 10
+	_, base := startServer(t, Config{Options: beyondiv.Options{
+		Parallel: 2, CacheDir: dir, CacheMaxBytes: budget,
+	}})
+	for i := 0; i < 24; i++ {
+		req := &request{Source: progen.DepWorkload(int64(i + 1))}
+		if i%2 == 0 {
+			req.Parallel = 1
+		}
+		var ar analyzeResponse
+		if code, _ := post(t, base, "/v1/analyze", req, &ar); code != 200 {
+			t.Fatalf("request %d: status %d", i, code)
+		}
+	}
+	var total int64
+	blobs := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		total += fi.Size()
+		blobs++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blobs == 0 {
+		t.Fatal("nothing persisted")
+	}
+	if total > budget {
+		t.Fatalf("cache dir holds %d bytes in %d blobs, budget %d", total, blobs, budget)
 	}
 }
 

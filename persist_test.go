@@ -1,7 +1,7 @@
 // Facade-level persistent-cache tests: a Program served from the disk
 // store must be indistinguishable, byte for byte, from a live analysis
 // across every rendered artifact; a warm cross-process start must run
-// zero analysis passes; and every way the store can be damaged must
+// no pass after the parse; and every way the store can be damaged must
 // degrade to re-analysis, never to a wrong answer.
 package beyondiv
 
@@ -94,13 +94,21 @@ func TestPersistDecodedMatchesFresh(t *testing.T) {
 }
 
 // TestPersistWarmStartZeroPasses: a second process analyzing a source
-// already in the store runs no analysis passes at all — the alias hit
-// answers before the parse, which the span tree and the store counters
-// both witness.
+// already in the store runs the parse and no analysis pass after it —
+// the structural entry answers, which the span tree and the store
+// counters both witness. A fresh persisted analysis writes exactly one
+// blob.
 func TestPersistWarmStartZeroPasses(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(persistFacadeSrc); err != nil {
+	reg0 := metrics.NewRegistry()
+	if _, err := NewAnalyzer(Options{CacheDir: dir, Metrics: reg0}).Analyze(persistFacadeSrc); err != nil {
 		t.Fatal(err)
+	}
+	if got := reg0.Counter("engine.store.write"); got != 1 {
+		t.Fatalf("fresh run: engine.store.write = %d, want 1", got)
+	}
+	if n := countBlobs(t, dir); n != 1 {
+		t.Fatalf("fresh run left %d blobs, want 1", n)
 	}
 
 	rec := obs.New()
@@ -113,12 +121,20 @@ func TestPersistWarmStartZeroPasses(t *testing.T) {
 	if !prog.Decoded() {
 		t.Fatal("warm cross-process start was not served from the store")
 	}
-	if got := reg.Counter("engine.store.hit.alias"); got != 1 {
-		t.Fatalf("engine.store.hit.alias = %d, want 1", got)
+	if got := reg.Counter("engine.store.hit.struct"); got != 1 {
+		t.Fatalf("engine.store.hit.struct = %d, want 1", got)
+	}
+	if miss, write := reg.Counter("engine.store.miss"), reg.Counter("engine.store.write"); miss != 0 || write != 0 {
+		t.Fatalf("warm start: engine.store.miss/write = %d/%d, want 0/0", miss, write)
+	}
+	if n := countBlobs(t, dir); n != 1 {
+		t.Fatalf("warm start left %d blobs, want 1", n)
 	}
 	for _, sp := range rec.Spans() {
 		for _, c := range sp.Children {
-			t.Fatalf("warm start ran analysis pass %q", c.Name)
+			if c.Name != "scan" && c.Name != "parse" {
+				t.Fatalf("warm start ran analysis pass %q", c.Name)
+			}
 		}
 	}
 	// The decoded program still renders everything a reader needs...
@@ -190,6 +206,22 @@ func TestPersistStructuralHit(t *testing.T) {
 			t.Fatalf("renamed copy counted as corruption (%d)", got)
 		}
 	}
+}
+
+// countBlobs counts the files a store directory holds.
+func countBlobs(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
+		if err == nil && !fi.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // renameIdent replaces whole-token occurrences of old with new — enough
@@ -266,7 +298,7 @@ func TestPersistCorruptionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog2.Decoded() || reg2.Counter("engine.store.hit.alias") != 1 {
+	if !prog2.Decoded() || reg2.Counter("engine.store.hit.struct") != 1 {
 		t.Fatal("store not repaired by the re-analysis")
 	}
 }
@@ -302,7 +334,7 @@ func TestPersistTruncatedStoreRecovers(t *testing.T) {
 
 // TestPersistWriteOnly: a write-only analyzer never reads the store but
 // still warms it — its programs stay live (Run works), and a subsequent
-// reading analyzer gets the alias hit.
+// reading analyzer gets the structural hit.
 func TestPersistWriteOnly(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
@@ -328,7 +360,7 @@ func TestPersistWriteOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.Decoded() || reg2.Counter("engine.store.hit.alias") != 1 {
+	if !prog.Decoded() || reg2.Counter("engine.store.hit.struct") != 1 {
 		t.Fatal("write-only analyzer did not warm the store")
 	}
 }
